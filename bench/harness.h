@@ -6,8 +6,9 @@
 //
 // Environment knobs:
 //   RPM_BENCH_SCALE  size multiplier for the dataset suite (default 1.0)
-//   RPM_BENCH_CACHE  cache file path (default build/bench/.results_cache.csv;
-//                    set to "off" to disable caching)
+//   RPM_BENCH_CACHE  cache file path (default .rpm_bench_results_cache.csv
+//                    in the working directory; set to "off" to disable
+//                    caching)
 
 #ifndef RPM_BENCH_HARNESS_H_
 #define RPM_BENCH_HARNESS_H_

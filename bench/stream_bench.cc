@@ -167,7 +167,7 @@ SweepResult RunShardSweep(
   std::vector<std::string> ids;
   for (std::size_t s = 0; s < shards; ++s) {
     const auto open = server.OpenStream("cbf", options, s);
-    if (!open.ok) {
+    if (!open.ok()) {
       std::fprintf(stderr, "stream_bench: open on shard %zu: %s\n", s,
                    open.error.c_str());
       std::exit(1);

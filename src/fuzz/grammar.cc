@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "net/frame.h"
@@ -10,16 +11,11 @@
 namespace rpm::fuzz {
 namespace {
 
-// Every verb the grammar can emit, one per serve::kVerbTable entry.
-// scripts/docs_lint.sh cross-checks this file against the wire table so
-// a new verb cannot ship unfuzzed: LOAD UNLOAD MODELS CLASSIFY STATS
-// METRICS TRACE STREAM_OPEN STREAM_FEED STREAM_CLOSE STREAMS QUIT.
-constexpr const char* kFuzzVerbs[] = {
-    "LOAD",        "UNLOAD",      "MODELS",  "CLASSIFY",
-    "STATS",       "METRICS",     "TRACE",   "STREAM_OPEN",
-    "STREAM_FEED", "STREAM_CLOSE", "STREAMS", "QUIT",
-};
-static_assert(sizeof(kFuzzVerbs) / sizeof(kFuzzVerbs[0]) == 12,
+using net::BinaryVerb;
+
+// GenerateRequest below has one production per net::kVerbTable entry
+// (QUIT is appended per connection); a new verb must add one here.
+static_assert(std::size(net::kVerbTable) == 12,
               "grammar must cover the full verb table");
 
 // The model the harness trains and never unloads: differential requests
@@ -77,7 +73,7 @@ struct ConnContext {
 
 FuzzRequest MakeLoad(SplitMix64* rng, Validity validity) {
   FuzzRequest req;
-  req.verb = "LOAD";
+  req.verb = BinaryVerb::kLoad;
   req.validity = validity;
   req.model = kAuxModel;
   switch (validity) {
@@ -103,7 +99,7 @@ FuzzRequest MakeLoad(SplitMix64* rng, Validity validity) {
 
 FuzzRequest MakeUnload(SplitMix64* rng, Validity validity) {
   FuzzRequest req;
-  req.verb = "UNLOAD";
+  req.verb = BinaryVerb::kUnload;
   req.validity = validity;
   req.model = kAuxModel;
   if (validity == Validity::kCorrupt) {
@@ -119,7 +115,7 @@ FuzzRequest MakeUnload(SplitMix64* rng, Validity validity) {
 
 FuzzRequest MakeClassify(SplitMix64* rng, Validity validity) {
   FuzzRequest req;
-  req.verb = "CLASSIFY";
+  req.verb = BinaryVerb::kClassify;
   req.validity = validity;
   req.model = kFixedModel;
   switch (validity) {
@@ -165,7 +161,7 @@ FuzzRequest MakeClassify(SplitMix64* rng, Validity validity) {
 FuzzRequest MakeStreamOpen(SplitMix64* rng, Validity validity,
                            ConnContext* ctx) {
   FuzzRequest req;
-  req.verb = "STREAM_OPEN";
+  req.verb = BinaryVerb::kStreamOpen;
   req.validity = validity;
   req.model = kFixedModel;
   const std::uint32_t windows[] = {16, 32, 64};
@@ -219,7 +215,7 @@ FuzzRequest MakeStreamOpen(SplitMix64* rng, Validity validity,
 FuzzRequest MakeStreamFeed(SplitMix64* rng, Validity validity,
                            ConnContext* ctx) {
   FuzzRequest req;
-  req.verb = "STREAM_FEED";
+  req.verb = BinaryVerb::kStreamFeed;
   req.validity = validity;
   switch (validity) {
     case Validity::kValid:
@@ -263,7 +259,7 @@ FuzzRequest MakeStreamFeed(SplitMix64* rng, Validity validity,
 FuzzRequest MakeStreamClose(SplitMix64* rng, Validity validity,
                             ConnContext* ctx) {
   FuzzRequest req;
-  req.verb = "STREAM_CLOSE";
+  req.verb = BinaryVerb::kStreamClose;
   req.validity = validity;
   if (validity == Validity::kCorrupt) {
     req.use_raw = true;
@@ -278,7 +274,7 @@ FuzzRequest MakeStreamClose(SplitMix64* rng, Validity validity,
 
 FuzzRequest MakeTrace(SplitMix64* rng, Validity validity) {
   FuzzRequest req;
-  req.verb = "TRACE";
+  req.verb = BinaryVerb::kTrace;
   req.validity = validity;
   switch (validity) {
     case Validity::kValid:
@@ -295,7 +291,7 @@ FuzzRequest MakeTrace(SplitMix64* rng, Validity validity) {
   return req;
 }
 
-FuzzRequest MakeNullary(const char* verb, SplitMix64* rng,
+FuzzRequest MakeNullary(BinaryVerb verb, SplitMix64* rng,
                         Validity validity) {
   FuzzRequest req;
   req.verb = verb;
@@ -305,7 +301,7 @@ FuzzRequest MakeNullary(const char* verb, SplitMix64* rng,
     // Trailing garbage after a nullary verb: the server may ignore it or
     // reject it; either way exactly one response.
     req.use_raw = true;
-    req.raw = std::string(verb) + " trailing garbage";
+    req.raw = std::string(net::VerbName(verb)) + " trailing garbage";
   }
   return req;
 }
@@ -326,12 +322,13 @@ FuzzRequest GenerateRequest(SplitMix64* rng, ConnContext* ctx) {
   if (roll < 17) return MakeLoad(rng, validity);
   if (roll < 18) return MakeUnload(rng, validity);
   if (roll < 19) return MakeTrace(rng, validity);
-  if (roll < 20) return MakeNullary("MODELS", rng, validity);
+  if (roll < 20) return MakeNullary(BinaryVerb::kModels, rng, validity);
   if (roll < 21) {
-    return MakeNullary(rng->Chance(1, 2) ? "STATS" : "METRICS", rng,
-                       validity);
+    return MakeNullary(
+        rng->Chance(1, 2) ? BinaryVerb::kStats : BinaryVerb::kMetrics, rng,
+        validity);
   }
-  return MakeNullary("STREAMS", rng, validity);
+  return MakeNullary(BinaryVerb::kStreams, rng, validity);
 }
 
 }  // namespace
@@ -402,7 +399,7 @@ FuzzPlan GenerateProtocolPlan(std::uint64_t seed) {
          conn.fault == WireFault::kCoalesce) &&
         conn_rng.Chance(1, 4)) {
       FuzzRequest quit;
-      quit.verb = "QUIT";
+      quit.verb = BinaryVerb::kQuit;
       quit.closes = true;
       conn.requests.push_back(quit);
     }
@@ -414,37 +411,53 @@ FuzzPlan GenerateProtocolPlan(std::uint64_t seed) {
 std::string EncodeTextRequest(const FuzzRequest& req,
                               const std::string& stream_id) {
   if (req.use_raw) return req.raw;
-  const std::string& verb = req.verb;
-  if (verb == "LOAD") return "LOAD " + req.model + " " + req.path;
-  if (verb == "UNLOAD") return "UNLOAD " + req.model;
-  if (verb == "CLASSIFY") {
-    std::string line = "CLASSIFY " + req.model + " " + Csv(req.values);
-    if (req.timeout_ms != 0) line += " " + std::to_string(req.timeout_ms);
-    return line;
+  std::string line(net::VerbName(req.verb));
+  auto arg = [&line](const std::string& a) {
+    line += ' ';
+    line += a;
+  };
+  switch (req.verb) {
+    case BinaryVerb::kLoad:
+      arg(req.model);
+      arg(req.path);
+      break;
+    case BinaryVerb::kUnload:
+      arg(req.model);
+      break;
+    case BinaryVerb::kClassify:
+      arg(req.model);
+      arg(Csv(req.values));
+      if (req.timeout_ms != 0) arg(std::to_string(req.timeout_ms));
+      break;
+    case BinaryVerb::kStreamOpen:
+      arg(req.model);
+      arg(std::to_string(req.window));
+      if (req.hop != 0 || req.early_fraction != 0.0) {
+        arg(std::to_string(req.hop == 0 ? req.window : req.hop));
+      }
+      if (req.early_fraction != 0.0) {
+        arg(FormatDouble(req.early_fraction));
+        arg(FormatDouble(req.early_margin));
+      }
+      break;
+    case BinaryVerb::kStreamFeed:
+      arg(stream_id);
+      arg(Csv(req.values));
+      break;
+    case BinaryVerb::kStreamClose:
+      arg(stream_id);
+      break;
+    case BinaryVerb::kTrace:
+      if (req.trace_n != 0) arg(std::to_string(req.trace_n));
+      break;
+    default:
+      break;  // MODELS / STATS / METRICS / STREAMS / QUIT
   }
-  if (verb == "STREAM_OPEN") {
-    std::string line =
-        "STREAM_OPEN " + req.model + " " + std::to_string(req.window);
-    if (req.hop != 0 || req.early_fraction != 0.0) {
-      line += " " + std::to_string(req.hop == 0 ? req.window : req.hop);
-    }
-    if (req.early_fraction != 0.0) {
-      line += " " + FormatDouble(req.early_fraction) + " " +
-              FormatDouble(req.early_margin);
-    }
-    return line;
-  }
-  if (verb == "STREAM_FEED") return "STREAM_FEED " + stream_id + " " + Csv(req.values);
-  if (verb == "STREAM_CLOSE") return "STREAM_CLOSE " + stream_id;
-  if (verb == "TRACE") {
-    return req.trace_n == 0 ? "TRACE" : "TRACE " + std::to_string(req.trace_n);
-  }
-  return verb;  // MODELS / STATS / METRICS / STREAMS / QUIT
+  return line;
 }
 
 std::string EncodeBinaryRequest(const FuzzRequest& req,
                                 const std::string& stream_id) {
-  using net::BinaryVerb;
   using net::PayloadWriter;
   if (req.use_raw) {
     // Raw corrupt productions carry a text line. The binary translation
@@ -453,63 +466,49 @@ std::string EncodeBinaryRequest(const FuzzRequest& req,
     // ships the line's leftover bytes as a payload that fails to decode:
     // the same one-ERR-and-continue contract as the text form.
     const std::size_t space = req.raw.find(' ');
-    const std::string name = req.raw.substr(0, space);
-    std::uint8_t verb_byte = 0x7F;  // unknown verb: one ERR, continue
-    for (std::uint8_t b = 0x01; b <= 0x0C; ++b) {
-      if (net::VerbName(b) == name) {
-        verb_byte = b;
-        break;
-      }
-    }
+    const auto verb = net::VerbByName(req.raw.substr(0, space));
+    // An unknown verb draws one ERR and the connection continues.
+    const std::uint8_t verb_byte = verb ? std::uint8_t(*verb) : 0x7F;
     const std::string payload =
         space == std::string::npos ? std::string() : req.raw.substr(space + 1);
     return net::EncodeFrame(verb_byte, 0, payload);
   }
   std::string payload;
   PayloadWriter writer(&payload);
-  BinaryVerb verb;
-  const std::string& v = req.verb;
-  if (v == "LOAD") {
-    verb = BinaryVerb::kLoad;
-    writer.Str(req.model);
-    writer.Str(req.path);
-  } else if (v == "UNLOAD") {
-    verb = BinaryVerb::kUnload;
-    writer.Str(req.model);
-  } else if (v == "MODELS") {
-    verb = BinaryVerb::kModels;
-  } else if (v == "CLASSIFY") {
-    verb = BinaryVerb::kClassify;
-    writer.Str(req.model);
-    writer.U32(req.timeout_ms);
-    writer.F64Array(req.values.data(), req.values.size());
-  } else if (v == "STATS") {
-    verb = BinaryVerb::kStats;
-  } else if (v == "METRICS") {
-    verb = BinaryVerb::kMetrics;
-  } else if (v == "TRACE") {
-    verb = BinaryVerb::kTrace;
-    writer.U32(req.trace_n);
-  } else if (v == "STREAM_OPEN") {
-    verb = BinaryVerb::kStreamOpen;
-    writer.Str(req.model);
-    writer.U32(req.window);
-    writer.U32(req.hop);
-    writer.F64(req.early_fraction);
-    writer.F64(req.early_margin);
-  } else if (v == "STREAM_FEED") {
-    verb = BinaryVerb::kStreamFeed;
-    writer.Str(stream_id);
-    writer.F64Array(req.values.data(), req.values.size());
-  } else if (v == "STREAM_CLOSE") {
-    verb = BinaryVerb::kStreamClose;
-    writer.Str(stream_id);
-  } else if (v == "STREAMS") {
-    verb = BinaryVerb::kStreams;
-  } else {
-    verb = BinaryVerb::kQuit;
+  switch (req.verb) {
+    case BinaryVerb::kLoad:
+      writer.Str(req.model);
+      writer.Str(req.path);
+      break;
+    case BinaryVerb::kUnload:
+      writer.Str(req.model);
+      break;
+    case BinaryVerb::kClassify:
+      writer.Str(req.model);
+      writer.U32(req.timeout_ms);
+      writer.F64Array(req.values.data(), req.values.size());
+      break;
+    case BinaryVerb::kTrace:
+      writer.U32(req.trace_n);
+      break;
+    case BinaryVerb::kStreamOpen:
+      writer.Str(req.model);
+      writer.U32(req.window);
+      writer.U32(req.hop);
+      writer.F64(req.early_fraction);
+      writer.F64(req.early_margin);
+      break;
+    case BinaryVerb::kStreamFeed:
+      writer.Str(stream_id);
+      writer.F64Array(req.values.data(), req.values.size());
+      break;
+    case BinaryVerb::kStreamClose:
+      writer.Str(stream_id);
+      break;
+    default:
+      break;  // MODELS / STATS / METRICS / STREAMS / QUIT: no payload
   }
-  return net::EncodeFrame(verb, net::WireStatus::kOk, payload);
+  return net::EncodeFrame(req.verb, net::WireStatus::kOk, payload);
 }
 
 std::string FormatPlan(const FuzzPlan& plan) {
@@ -529,7 +528,8 @@ std::string FormatPlan(const FuzzPlan& plan) {
            " fault_request=" + std::to_string(conn.fault_request) + "\n";
     for (std::size_t r = 0; r < conn.requests.size(); ++r) {
       const FuzzRequest& req = conn.requests[r];
-      out += "  " + std::to_string(r) + " " + req.verb;
+      out += "  " + std::to_string(r) + " " +
+             std::string(net::VerbName(req.verb));
       switch (req.validity) {
         case Validity::kValid: out += " valid"; break;
         case Validity::kBoundary: out += " boundary"; break;

@@ -6,9 +6,10 @@
 // this file only *describes* traffic, so plans can be formatted as repro
 // scripts, minimized, and compared across runs.
 //
-// Productions cover the full verb table (pinned by scripts/docs_lint.sh
-// against serve::kVerbTable): LOAD UNLOAD MODELS CLASSIFY STATS METRICS
-// TRACE STREAM_OPEN STREAM_FEED STREAM_CLOSE STREAMS QUIT.
+// Productions cover the full verb table (net::kVerbTable; pinned by a
+// static check in grammar.cc and by scripts/docs_lint.sh): LOAD UNLOAD
+// MODELS CLASSIFY STATS METRICS TRACE STREAM_OPEN STREAM_FEED
+// STREAM_CLOSE STREAMS QUIT.
 
 #ifndef RPM_FUZZ_GRAMMAR_H_
 #define RPM_FUZZ_GRAMMAR_H_
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "fuzz/rng.h"
+#include "net/frame.h"
 
 namespace rpm::fuzz {
 
@@ -49,13 +51,13 @@ enum class WireFault : std::uint8_t {
 bool FaultIsClean(WireFault fault);
 const char* FaultName(WireFault fault);
 
-/// One request production. `verb` is the text-protocol name; binary
-/// connections encode the same request as a frame. Stream requests name
+/// One request production. Text connections spell `verb` by its
+/// net::kVerbTable name; binary connections encode it as a frame. Stream requests name
 /// sessions by `stream_slot` — an index into the connection's earlier
 /// STREAM_OPEN requests — resolved to a real session id at run time
 /// (slot -1 is a deliberately bogus id).
 struct FuzzRequest {
-  std::string verb;
+  net::BinaryVerb verb = net::BinaryVerb::kQuit;
   Validity validity = Validity::kValid;
 
   std::string model;           // CLASSIFY / STREAM_OPEN / LOAD / UNLOAD name

@@ -28,6 +28,7 @@ namespace rpm::fuzz {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using net::BinaryVerb;
 
 // One small trained model per process (training dominates harness
 // startup); the same fixture geometry the net/serve suites use.
@@ -349,10 +350,15 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
         const std::string wire = conn.binary
                                      ? EncodeBinaryRequest(req, "s#")
                                      : EncodeTextRequest(req, "s#");
-        events_.push_back(
-            "c" + std::to_string(c) + ".r" + std::to_string(r) + " " +
-            req.verb + " h=" +
-            std::to_string(HashBytes(kHashSeed, wire)));
+        std::string event = std::to_string(c);
+        event.insert(event.begin(), 'c');
+        event += ".r";
+        event += std::to_string(r);
+        event += ' ';
+        event += net::VerbName(req.verb);
+        event += " h=";
+        event += std::to_string(HashBytes(kHashSeed, wire));
+        events_.push_back(std::move(event));
       }
     }
   }
@@ -395,7 +401,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
     c.chunk_rng = base.Fork(2000 + i);
     c.read_rng = base.Fork(3000 + i);
     for (const FuzzRequest& req : c.plan->requests) {
-      if (req.verb == "STREAM_OPEN" && !req.use_raw) ++c.planned_opens;
+      if (req.verb == BinaryVerb::kStreamOpen && !req.use_raw) ++c.planned_opens;
     }
     c.fd = ConnectLoopback(front_end.port());
     if (c.fd < 0) {
@@ -495,7 +501,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       } else {
         exp.req = &req;
       }
-      if (req.verb == "STREAM_OPEN" && !req.use_raw &&
+      if (req.verb == BinaryVerb::kStreamOpen && !req.use_raw &&
           exp.kind == Expected::Kind::kRequest) {
         SlotInfo slot;
         slot.differential = req.differential;
@@ -503,10 +509,11 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
         slot.hop = req.hop == 0 ? req.window : req.hop;
         exp.slot = static_cast<int>(c.slots.size());
         c.slots.push_back(slot);
-      } else if ((req.verb == "STREAM_FEED" || req.verb == "STREAM_CLOSE") &&
+      } else if ((req.verb == BinaryVerb::kStreamFeed ||
+                  req.verb == BinaryVerb::kStreamClose) &&
                  !req.use_raw) {
         exp.slot = req.stream_slot;
-        if (req.verb == "STREAM_FEED" && exp.slot >= 0 &&
+        if (req.verb == BinaryVerb::kStreamFeed && exp.slot >= 0 &&
             static_cast<std::size_t>(exp.slot) < c.slots.size() &&
             !AllFinite(req.values)) {
           c.slots[exp.slot].poisoned = true;
@@ -598,7 +605,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
     // Slot resolution must happen for *every* tracked STREAM_OPEN —
     // corrupt ones included, or a later feed waits on the barrier
     // forever.
-    if (req.verb == "STREAM_OPEN" && exp.slot >= 0) {
+    if (req.verb == BinaryVerb::kStreamOpen && exp.slot >= 0) {
       SlotInfo& slot = c.slots[exp.slot];
       slot.resolved = true;
       const auto tokens = SplitWs(line);
@@ -616,7 +623,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
     }
     if (req.use_raw || req.validity == Validity::kCorrupt) return;
     const auto tokens = SplitWs(line);
-    if (req.verb == "CLASSIFY" && req.differential) {
+    if (req.verb == BinaryVerb::kClassify && req.differential) {
       if (is_ok) {
         if (tokens.size() < 2 ||
             std::to_string(expected_label(req)) != tokens[1]) {
@@ -628,7 +635,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       }
       return;
     }
-    if (req.verb == "STREAM_FEED" && exp.slot >= 0 &&
+    if (req.verb == BinaryVerb::kStreamFeed && exp.slot >= 0 &&
         static_cast<std::size_t>(exp.slot) < c.slots.size() &&
         c.slots[exp.slot].ok) {
       SlotInfo& slot = c.slots[exp.slot];
@@ -678,7 +685,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       }
       return;
     }
-    if (req.verb == "STREAM_CLOSE" && exp.slot >= 0 &&
+    if (req.verb == BinaryVerb::kStreamClose && exp.slot >= 0 &&
         static_cast<std::size_t>(exp.slot) < c.slots.size() &&
         c.slots[exp.slot].ok) {
       SlotInfo& slot = c.slots[exp.slot];
@@ -693,11 +700,11 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       return;
     }
     if (req.validity == Validity::kValid &&
-        (req.verb == "LOAD" || req.verb == "MODELS" ||
-         req.verb == "STATS" || req.verb == "TRACE" ||
-         req.verb == "STREAMS") &&
+        (req.verb == BinaryVerb::kLoad || req.verb == BinaryVerb::kModels ||
+         req.verb == BinaryVerb::kStats || req.verb == BinaryVerb::kTrace ||
+         req.verb == BinaryVerb::kStreams) &&
         !is_ok) {
-      c.Fail("valid " + req.verb + " rejected: '" + line + "'");
+      c.Fail("valid " + std::string(net::VerbName(req.verb)) + " rejected: '" + line + "'");
     }
   };
 
@@ -724,7 +731,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       return;
     }
     // Corrupt STREAM_OPENs still resolve their slot (see validate_text).
-    if (req.verb == "STREAM_OPEN" && exp.slot >= 0) {
+    if (req.verb == BinaryVerb::kStreamOpen && exp.slot >= 0) {
       SlotInfo& slot = c.slots[exp.slot];
       slot.resolved = true;
       if (is_ok) {
@@ -744,7 +751,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
     }
     if (req.use_raw || req.validity == Validity::kCorrupt) return;
     net::PayloadReader reader(frame.payload);
-    if (req.verb == "CLASSIFY" && req.differential) {
+    if (req.verb == BinaryVerb::kClassify && req.differential) {
       if (is_ok) {
         std::int32_t label = 0;
         if (!reader.I32(&label) || label != expected_label(req)) {
@@ -758,7 +765,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       }
       return;
     }
-    if (req.verb == "STREAM_FEED" && exp.slot >= 0 &&
+    if (req.verb == BinaryVerb::kStreamFeed && exp.slot >= 0 &&
         static_cast<std::size_t>(exp.slot) < c.slots.size() &&
         c.slots[exp.slot].ok) {
       SlotInfo& slot = c.slots[exp.slot];
@@ -796,7 +803,7 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       }
       return;
     }
-    if (req.verb == "STREAM_CLOSE" && exp.slot >= 0 &&
+    if (req.verb == BinaryVerb::kStreamClose && exp.slot >= 0 &&
         static_cast<std::size_t>(exp.slot) < c.slots.size() &&
         c.slots[exp.slot].ok) {
       SlotInfo& slot = c.slots[exp.slot];
@@ -821,11 +828,11 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
       return;
     }
     if (req.validity == Validity::kValid &&
-        (req.verb == "LOAD" || req.verb == "MODELS" ||
-         req.verb == "STATS" || req.verb == "METRICS" ||
-         req.verb == "TRACE" || req.verb == "STREAMS") &&
+        (req.verb == BinaryVerb::kLoad || req.verb == BinaryVerb::kModels ||
+         req.verb == BinaryVerb::kStats || req.verb == BinaryVerb::kMetrics ||
+         req.verb == BinaryVerb::kTrace || req.verb == BinaryVerb::kStreams) &&
         !is_ok) {
-      c.Fail("valid binary " + req.verb + " rejected, status " +
+      c.Fail("valid binary " + std::string(net::VerbName(req.verb)) + " rejected, status " +
              std::to_string(frame.status));
     }
   };
@@ -851,7 +858,8 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
     }
     const Expected exp = c.pending.front();
     // METRICS bodies span many lines, terminated by "# EOF".
-    if (exp.kind == Expected::Kind::kRequest && exp.req->verb == "METRICS" &&
+    if (exp.kind == Expected::Kind::kRequest &&
+        exp.req->verb == BinaryVerb::kMetrics &&
         line == "OK metrics") {
       c.in_metrics_body = true;
       return;

@@ -286,7 +286,12 @@ std::vector<std::uint32_t> Grammar::Expand(int id) const {
 std::string Grammar::ToString() const {
   std::ostringstream os;
   for (const auto& r : rules_) {
-    os << (r.id == 0 ? "S" : "R" + std::to_string(r.id)) << " ->";
+    if (r.id == 0) {
+      os << 'S';
+    } else {
+      os << 'R' << r.id;
+    }
+    os << " ->";
     for (std::int64_t v : r.rhs) {
       if (v >= 0) {
         os << ' ' << v;

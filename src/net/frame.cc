@@ -1,32 +1,12 @@
 #include "net/frame.h"
 
 #include <bit>
+#include <iterator>
 #include <cstring>
 
 namespace rpm::net {
 
 namespace {
-
-// Verb byte -> protocol spelling. scripts/docs_lint.sh extracts this
-// table and requires every name to appear in docs/SERVING.md.
-struct VerbInfo {
-  BinaryVerb verb;
-  std::string_view name;
-};
-constexpr VerbInfo kVerbTable[] = {
-    {BinaryVerb::kLoad, "LOAD"},
-    {BinaryVerb::kUnload, "UNLOAD"},
-    {BinaryVerb::kModels, "MODELS"},
-    {BinaryVerb::kClassify, "CLASSIFY"},
-    {BinaryVerb::kStats, "STATS"},
-    {BinaryVerb::kMetrics, "METRICS"},
-    {BinaryVerb::kTrace, "TRACE"},
-    {BinaryVerb::kStreamOpen, "STREAM_OPEN"},
-    {BinaryVerb::kStreamFeed, "STREAM_FEED"},
-    {BinaryVerb::kStreamClose, "STREAM_CLOSE"},
-    {BinaryVerb::kStreams, "STREAMS"},
-    {BinaryVerb::kQuit, "QUIT"},
-};
 
 void AppendLe(std::string* out, std::uint64_t v, std::size_t bytes) {
   for (std::size_t i = 0; i < bytes; ++i) {
@@ -51,7 +31,20 @@ std::string_view VerbName(std::uint8_t verb) {
   return {};
 }
 
-bool IsKnownVerb(std::uint8_t verb) { return !VerbName(verb).empty(); }
+std::optional<BinaryVerb> VerbByName(std::string_view name) {
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.name == name) return info.verb;
+  }
+  return std::nullopt;
+}
+
+std::string_view StatusName(WireStatus status) {
+  constexpr std::string_view kNames[] = {"OK",        "TIMEOUT",
+                                         "OVERLOADED", "NOT_FOUND",
+                                         "SHUTDOWN",  "BAD_REQUEST"};
+  const auto i = static_cast<std::size_t>(status);
+  return i < std::size(kNames) ? kNames[i] : "BAD_REQUEST";
+}
 
 std::string EncodeFrame(std::uint8_t verb, std::uint8_t status,
                         std::string_view payload) {

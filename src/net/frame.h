@@ -32,15 +32,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace rpm::net {
 
-/// Binary protocol verbs, one per text-protocol command. Values are the
-/// wire bytes; docs/SERVING.md carries the authoritative table (pinned
-/// by scripts/docs_lint.sh against kVerbTable in frame.cc).
+/// Protocol verbs, shared by both codecs. Values are the binary wire
+/// bytes; docs/SERVING.md carries the authoritative table (pinned by
+/// scripts/docs_lint.sh against kVerbTable below).
 enum class BinaryVerb : std::uint8_t {
   kLoad = 0x01,
   kUnload = 0x02,
@@ -71,9 +72,38 @@ enum class WireStatus : std::uint8_t {
 inline constexpr char kBinaryMagic[4] = {'R', 'P', 'M', 'B'};
 inline constexpr std::size_t kFrameHeaderSize = 8;
 
+/// Verb byte -> protocol spelling: the one list of verbs. The text codec
+/// finds verbs by name here, the fuzz grammar iterates it, and
+/// scripts/docs_lint.sh requires every name and byte in docs/SERVING.md.
+struct VerbInfo {
+  BinaryVerb verb;
+  std::string_view name;
+};
+inline constexpr VerbInfo kVerbTable[] = {
+    {BinaryVerb::kLoad, "LOAD"},
+    {BinaryVerb::kUnload, "UNLOAD"},
+    {BinaryVerb::kModels, "MODELS"},
+    {BinaryVerb::kClassify, "CLASSIFY"},
+    {BinaryVerb::kStats, "STATS"},
+    {BinaryVerb::kMetrics, "METRICS"},
+    {BinaryVerb::kTrace, "TRACE"},
+    {BinaryVerb::kStreamOpen, "STREAM_OPEN"},
+    {BinaryVerb::kStreamFeed, "STREAM_FEED"},
+    {BinaryVerb::kStreamClose, "STREAM_CLOSE"},
+    {BinaryVerb::kStreams, "STREAMS"},
+    {BinaryVerb::kQuit, "QUIT"},
+};
+
 /// Protocol name of a verb ("LOAD", ...), empty for unknown bytes.
 std::string_view VerbName(std::uint8_t verb);
-bool IsKnownVerb(std::uint8_t verb);
+inline std::string_view VerbName(BinaryVerb verb) {
+  return VerbName(static_cast<std::uint8_t>(verb));
+}
+/// Verb spelled `name` (case-sensitive), nullopt for unknown names.
+std::optional<BinaryVerb> VerbByName(std::string_view name);
+/// Protocol name of a status ("OK", "TIMEOUT", ...), the text codec's
+/// ERR code; "BAD_REQUEST" for unknown bytes.
+std::string_view StatusName(WireStatus status);
 
 /// One decoded frame (request or response).
 struct Frame {
@@ -181,7 +211,6 @@ class FrameAssembler {
 /// lines are discarded as they arrive and surface as kOversized exactly
 /// once — at the point where the line would have completed — so the
 /// connection can answer with an explicit error and keep going.
-/// (Formerly serve::LineAssembler; rpm::serve keeps an alias.)
 class LineAssembler {
  public:
   static constexpr std::size_t kDefaultMaxLine = std::size_t{1} << 20;

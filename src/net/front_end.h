@@ -22,8 +22,9 @@
 // reading (EPOLLIN dropped) until the buffer drains below half — a slow
 // reader throttles itself, never the shard.
 //
-// The front end is protocol-policy-free: serve::NetHandler supplies the
-// actual verb semantics, keeping net below serve in the layering.
+// The front end is protocol-policy-free: the verb semantics come from
+// the serving layer (InferenceServer::Execute, reached through
+// serve::NetHandler), keeping net below serve in the layering.
 
 #ifndef RPM_NET_FRONT_END_H_
 #define RPM_NET_FRONT_END_H_

@@ -45,17 +45,6 @@ BatchingQueue::BatchingQueue(BatchingOptions options, ServerStats* stats)
 
 BatchingQueue::~BatchingQueue() { Shutdown(); }
 
-std::future<ClassifyResult> BatchingQueue::Submit(
-    ModelHandle model, ts::Series values, Clock::time_point deadline) {
-  auto promise = std::make_shared<std::promise<ClassifyResult>>();
-  std::future<ClassifyResult> future = promise->get_future();
-  SubmitWithCallback(std::move(model), std::move(values), deadline,
-                     [promise](ClassifyResult result) {
-                       promise->set_value(result);
-                     });
-  return future;
-}
-
 void BatchingQueue::SubmitWithCallback(ModelHandle model, ts::Series values,
                                        Clock::time_point deadline,
                                        Callback done) {

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -83,17 +82,11 @@ class BatchingQueue {
   BatchingQueue(const BatchingQueue&) = delete;
   BatchingQueue& operator=(const BatchingQueue&) = delete;
 
-  /// Enqueues one request. Rejections (overload, shutdown) resolve the
-  /// future immediately; admitted requests resolve when their batch is
-  /// dispatched or their deadline lapses. Never blocks on classification.
-  std::future<ClassifyResult> Submit(ModelHandle model, ts::Series values,
-                                     Clock::time_point deadline);
-
-  /// Completion delivered by callback instead of future — the form the
-  /// event-driven front end needs (no thread parked on a future). `done`
-  /// is invoked exactly once, outside the queue lock: on the submitting
-  /// thread for rejections, on the dispatcher thread otherwise. It must
-  /// not block (it runs inline in the dispatch path).
+  /// Enqueues one request and never blocks on classification. `done` is
+  /// invoked exactly once, outside the queue lock: on the submitting
+  /// thread for rejections (overload, shutdown), on the dispatcher thread
+  /// when the batch is dispatched or the deadline lapses. It must not
+  /// block (it runs inline in the dispatch path).
   using Callback = std::function<void(ClassifyResult)>;
   void SubmitWithCallback(ModelHandle model, ts::Series values,
                           Clock::time_point deadline, Callback done);

@@ -1,16 +1,15 @@
 // Bridge between the sharded network front end (src/net) and the
-// inference server: implements net::RequestHandler for both codecs.
+// inference server: implements net::RequestHandler for both codecs as
+// two thin forwarders onto InferenceServer::Execute, the one protocol
+// semantics layer.
 //
-// Text lines go straight to InferenceServer::HandleLineAsync on the
-// connection's shard. Binary frames are decoded here — this file is the
-// authoritative implementation of the per-verb payload layouts specced
-// in docs/SERVING.md ("Binary protocol") — dispatched to the same
-// server calls, and the results re-encoded as response frames. Both
-// paths answer CLASSIFY asynchronously (from the shard's batching
-// dispatcher), which is why `respond` is a callback.
+//   binary: frame -> Execute -> net::EncodeFrame
+//   text:   line -> TextToFrame -> Execute -> FrameToText -> line
 //
-// The handler is stateless per request apart from the server pointer,
-// so one instance serves every shard concurrently.
+// CLASSIFY answers asynchronously (from the shard's batching
+// dispatcher), which is why `respond` is a callback. A QUIT reply closes
+// the connection. The handler holds no state apart from the server
+// pointer, so one instance serves every shard concurrently.
 
 #ifndef RPM_SERVE_NET_HANDLER_H_
 #define RPM_SERVE_NET_HANDLER_H_

@@ -1,10 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <sstream>
 #include <utility>
 
 #include "obs/exposition.h"
@@ -155,6 +152,7 @@ stream::StreamSessionManager::OpenResult InferenceServer::OpenStream(
   if (handle == nullptr) {
     stats_.RecordNotFound();
     stream::StreamSessionManager::OpenResult result;
+    result.status = stream::StreamSessionManager::OpenStatus::kNotFound;
     result.error = "no model named '" + model + "'";
     return result;
   }
@@ -223,231 +221,226 @@ std::string InferenceServer::MetricsText() const {
 
 namespace {
 
-// "1.5,2,-0.25" (or space-separated) -> Series; false on any non-number.
-bool ParseValues(const std::string& text, ts::Series* out) {
-  out->clear();
-  std::string token;
-  std::string normalized = text;
-  for (char& c : normalized) {
-    if (c == ',') c = ' ';
-  }
-  std::istringstream fields(normalized);
-  while (fields >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return false;
-    out->push_back(v);
-  }
-  return !out->empty();
+using net::BinaryVerb;
+using net::PayloadReader;
+using net::PayloadWriter;
+using net::WireStatus;
+using OpenStatus = stream::StreamSessionManager::OpenStatus;
+using FeedStatus = stream::StreamSessionManager::FeedStatus;
+
+net::Frame ErrorReply(std::uint8_t verb, WireStatus status,
+                      std::string_view detail) {
+  net::Frame reply{verb, static_cast<std::uint8_t>(status), {}};
+  PayloadWriter(&reply.payload).Str(detail);
+  return reply;
 }
 
-std::string Err(std::string_view code, const std::string& detail) {
-  std::string out = "ERR ";
-  out += code;
-  if (!detail.empty()) {
-    out += ' ';
-    out += detail;
+/// CLASSIFY's reply: the label, or the status and the one detail both
+/// codecs carry for the failure.
+net::Frame ClassifyReply(std::uint8_t verb, const ClassifyResult& result,
+                         const std::string& model) {
+  switch (result.status) {
+    case StatusCode::kOk:
+      break;
+    case StatusCode::kTimeout:
+      return ErrorReply(verb, WireStatus::kTimeout, "deadline exceeded");
+    case StatusCode::kOverloaded:
+      return ErrorReply(verb, WireStatus::kOverloaded, "queue full");
+    case StatusCode::kNotFound:
+      return ErrorReply(verb, WireStatus::kNotFound,
+                        "no model named '" + model + "'");
+    case StatusCode::kShutdown:
+      return ErrorReply(verb, WireStatus::kShutdown, "shutting down");
   }
-  return out;
+  net::Frame ok{verb, static_cast<std::uint8_t>(WireStatus::kOk), {}};
+  PayloadWriter(&ok.payload).I32(result.label);
+  return ok;
+}
+
+WireStatus OpenStatusToWire(OpenStatus status) {
+  switch (status) {
+    case OpenStatus::kNotFound: return WireStatus::kNotFound;
+    case OpenStatus::kOverloaded: return WireStatus::kOverloaded;
+    case OpenStatus::kShutdown: return WireStatus::kShutdown;
+    case OpenStatus::kOk:
+    case OpenStatus::kInvalid: break;
+  }
+  return WireStatus::kBadRequest;
+}
+
+void PutNames(const std::vector<std::string>& names, PayloadWriter* out) {
+  out->U32(static_cast<std::uint32_t>(names.size()));
+  for (const auto& name : names) out->Str(name);
 }
 
 }  // namespace
 
-std::string InferenceServer::HandleLine(const std::string& line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  HandleLineAsync(line, 0, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future.get();
+void InferenceServer::Execute(std::size_t shard, const net::Frame& request,
+                              Reply reply) {
+  const std::uint8_t verb = request.verb;
+  PayloadReader in(request.payload);
+  net::Frame ok{verb, static_cast<std::uint8_t>(WireStatus::kOk), {}};
+  PayloadWriter out(&ok.payload);
+  auto fail = [&](WireStatus status, std::string_view detail) {
+    reply(ErrorReply(verb, status, detail));
+  };
+  // A payload that does not decode: name the verb's request layout.
+  auto bad_payload = [&](std::string_view layout) {
+    fail(WireStatus::kBadRequest,
+         std::string(net::VerbName(verb)) + " payload: " + std::string(layout));
+  };
+  if (net::VerbName(verb).empty()) {
+    return fail(WireStatus::kBadRequest,
+                "unknown verb " + std::to_string(int(verb)));
+  }
+  // Bulk bodies (STATS, METRICS, TRACE) ride as u32-length blobs:
+  // multi-shard exposition and span dumps routinely exceed the u16 `str`
+  // bound, which would silently truncate them.
+  switch (static_cast<BinaryVerb>(verb)) {
+    case BinaryVerb::kQuit:
+      break;
+    case BinaryVerb::kStats:
+      out.Blob(stats_.Snapshot().ToJson());
+      break;
+    case BinaryVerb::kMetrics:
+      out.Blob(MetricsText());
+      break;
+    case BinaryVerb::kTrace: {
+      std::uint32_t n = 0;
+      if (!in.U32(&n)) {
+        return bad_payload("u32 span count");
+      }
+      n = n == 0 ? 32 : std::min<std::uint32_t>(n, 1024);
+      out.Blob(obs::RenderSpansJson(obs::Tracer::Default().Recent(n)));
+      break;
+    }
+    case BinaryVerb::kModels:
+      PutNames(registry_.Names(), &out);
+      break;
+    case BinaryVerb::kStreams:
+      PutNames(StreamIds(), &out);
+      break;
+    case BinaryVerb::kLoad: {
+      std::string name;
+      std::string path;
+      if (!in.Str(&name) || !in.Str(&path)) {
+        return bad_payload("str name, str path");
+      }
+      out.Str(name);
+      try {
+        out.U64(LoadModel(name, path));
+      } catch (const std::exception& e) {
+        return fail(WireStatus::kBadRequest, e.what());
+      }
+      break;
+    }
+    case BinaryVerb::kUnload: {
+      std::string name;
+      if (!in.Str(&name)) {
+        return bad_payload("str name");
+      }
+      if (!UnloadModel(name)) {
+        return fail(WireStatus::kNotFound, "no model named '" + name + "'");
+      }
+      out.Str(name);
+      break;
+    }
+    case BinaryVerb::kClassify: {
+      std::string model;
+      std::uint32_t timeout_ms = 0;
+      ts::Series values;
+      if (!in.Str(&model) || !in.U32(&timeout_ms) ||
+          !in.F64Array(&values) || values.empty()) {
+        return bad_payload("str model, u32 timeout_ms, f64[] values");
+      }
+      const std::chrono::microseconds timeout =
+          timeout_ms == 0 ? std::chrono::microseconds(options_.default_timeout)
+                          : std::chrono::milliseconds(timeout_ms);
+      // The one asynchronous verb: the reply is produced when the
+      // micro-batch dispatches, on the shard's dispatcher thread.
+      ClassifyWithCallback(
+          model, std::move(values), timeout, shard,
+          [reply = std::move(reply), verb, model](ClassifyResult result) {
+            reply(ClassifyReply(verb, result, model));
+          });
+      return;
+    }
+    case BinaryVerb::kStreamOpen: {
+      std::string model;
+      std::uint32_t window = 0;
+      std::uint32_t hop = 0;
+      stream::StreamOptions opts;
+      if (!in.Str(&model) || !in.U32(&window) || !in.U32(&hop) ||
+          !in.F64(&opts.early_fraction) || !in.F64(&opts.early_margin) ||
+          window == 0) {
+        return bad_payload(
+            "str model, u32 window, u32 hop, f64 early_fraction, "
+            "f64 early_margin");
+      }
+      opts.window = window;
+      opts.hop = hop;
+      const auto result = OpenStream(model, opts, shard);
+      if (!result.ok()) {
+        return fail(OpenStatusToWire(result.status), result.error);
+      }
+      // Echo the normalized geometry (hop 0 means tumbling windows).
+      out.Str(result.id);
+      out.U32(window);
+      out.U32(hop == 0 ? window : hop);
+      break;
+    }
+    case BinaryVerb::kStreamFeed: {
+      std::string id;
+      std::vector<double> values;
+      if (!in.Str(&id) || !in.F64Array(&values) || values.empty()) {
+        return bad_payload("str id, f64[] values");
+      }
+      const auto result = FeedStream(id, values);
+      if (result.status == FeedStatus::kNotFound) {
+        return fail(WireStatus::kNotFound, "no stream named '" + id + "'");
+      }
+      if (result.status == FeedStatus::kShutdown) {
+        return fail(WireStatus::kShutdown, "shutting down");
+      }
+      out.U32(static_cast<std::uint32_t>(result.accepted));
+      out.U32(static_cast<std::uint32_t>(result.decisions.size()));
+      for (const auto& d : result.decisions) {
+        out.U64(d.window_index);
+        out.I32(d.label);
+        out.F64(d.margin);
+        out.U8(d.early ? 1 : 0);
+      }
+      break;
+    }
+    case BinaryVerb::kStreamClose: {
+      std::string id;
+      if (!in.Str(&id)) {
+        return bad_payload("str id");
+      }
+      const auto result = CloseStream(id);
+      if (!result.found) {
+        return fail(WireStatus::kNotFound, "no stream named '" + id + "'");
+      }
+      out.U64(result.summary.samples);
+      out.U64(result.summary.windows_scored);
+      out.U64(result.summary.decisions);
+      out.U64(result.summary.early_decisions);
+      break;
+    }
+  }
+  reply(std::move(ok));
 }
 
-void InferenceServer::HandleLineAsync(
-    const std::string& line, std::size_t shard,
-    std::function<void(std::string)> respond) {
-  std::istringstream in(line);
-  std::string cmd;
-  if (!(in >> cmd)) return respond(Err("BAD_REQUEST", "empty line"));
-
-  if (cmd == "QUIT") return respond("OK bye");
-  if (cmd == "STATS") return respond("OK " + stats_.Snapshot().ToJson());
-  if (cmd == "METRICS") {
-    // HandleLine responses carry no trailing newline (the socket loop
-    // appends one), so strip the expositor's final '\n'.
-    std::string text = "OK metrics\n" + MetricsText();
-    if (!text.empty() && text.back() == '\n') text.pop_back();
-    return respond(std::move(text));
-  }
-  if (cmd == "TRACE") {
-    long n = 32;
-    if (in >> n) {
-      if (n <= 0) {
-        return respond(Err("BAD_REQUEST", "span count must be positive"));
-      }
-      n = std::min(n, 1024L);
-    }
-    const auto spans = obs::Tracer::Default().Recent(std::size_t(n));
-    return respond("OK " + obs::RenderSpansJson(spans));
-  }
-  if (cmd == "MODELS") {
-    const std::vector<std::string> names = registry_.Names();
-    std::string out = "OK " + std::to_string(names.size());
-    for (const auto& n : names) out += ' ' + n;
-    return respond(std::move(out));
-  }
-  if (cmd == "LOAD") {
-    std::string name;
-    std::string path;
-    if (!(in >> name >> path)) {
-      return respond(Err("BAD_REQUEST", "usage: LOAD <name> <path>"));
-    }
-    try {
-      const std::size_t patterns = LoadModel(name, path);
-      return respond("OK loaded " + name +
-                     " patterns=" + std::to_string(patterns));
-    } catch (const std::exception& e) {
-      return respond(Err("BAD_REQUEST", e.what()));
-    }
-  }
-  if (cmd == "UNLOAD") {
-    std::string name;
-    if (!(in >> name)) {
-      return respond(Err("BAD_REQUEST", "usage: UNLOAD <name>"));
-    }
-    if (!UnloadModel(name)) {
-      return respond(Err("NOT_FOUND", "no model named '" + name + "'"));
-    }
-    return respond("OK unloaded " + name);
-  }
-  if (cmd == "CLASSIFY") {
-    std::string name;
-    std::string csv;
-    if (!(in >> name >> csv)) {
-      return respond(
-          Err("BAD_REQUEST", "usage: CLASSIFY <name> <v1,v2,...> [ms]"));
-    }
-    std::chrono::microseconds timeout = options_.default_timeout;
-    long timeout_ms = 0;
-    if (in >> timeout_ms) {
-      if (timeout_ms <= 0) {
-        return respond(Err("BAD_REQUEST", "timeout must be positive"));
-      }
-      timeout = std::chrono::milliseconds(timeout_ms);
-    }
-    ts::Series values;
-    if (!ParseValues(csv, &values)) {
-      return respond(Err("BAD_REQUEST", "malformed values '" + csv + "'"));
-    }
-    // The one asynchronous verb: the response is produced when the
-    // micro-batch dispatches, on the shard's dispatcher thread.
-    ClassifyWithCallback(
-        name, std::move(values), timeout, shard,
-        [respond = std::move(respond), name](ClassifyResult result) {
-          if (result.status == StatusCode::kOk) {
-            return respond("OK " + std::to_string(result.label));
-          }
-          if (result.status == StatusCode::kNotFound) {
-            return respond(
-                Err("NOT_FOUND", "no model named '" + name + "'"));
-          }
-          respond(Err(StatusName(result.status), ""));
-        });
-    return;
-  }
-  if (cmd == "STREAM_OPEN") {
-    std::string name;
-    long window = 0;
-    if (!(in >> name >> window) || window <= 0) {
-      return respond(Err(
-          "BAD_REQUEST",
-          "usage: STREAM_OPEN <model> <window> [hop] [early_frac] "
-          "[early_margin]"));
-    }
-    stream::StreamOptions opts;
-    opts.window = static_cast<std::size_t>(window);
-    long hop = 0;
-    if (in >> hop) {
-      if (hop < 0) {
-        return respond(Err("BAD_REQUEST", "hop must be non-negative"));
-      }
-      opts.hop = static_cast<std::size_t>(hop);
-    }
-    double early_fraction = 0.0;
-    if (in >> early_fraction) opts.early_fraction = early_fraction;
-    double early_margin = 0.0;
-    if (in >> early_margin) opts.early_margin = early_margin;
-    const auto result = OpenStream(name, opts, shard);
-    if (!result.ok) {
-      if (result.error.rfind("no model", 0) == 0) {
-        return respond(Err("NOT_FOUND", result.error));
-      }
-      if (result.error == "too many open streams") {
-        return respond(Err("OVERLOADED", result.error));
-      }
-      if (result.error == "shutting down") {
-        return respond(Err("SHUTDOWN", result.error));
-      }
-      return respond(Err("BAD_REQUEST", result.error));
-    }
-    // Echo the normalized geometry (hop defaulting happened in Open).
-    return respond(
-        "OK stream " + result.id + " window=" + std::to_string(window) +
-        " hop=" + std::to_string(opts.hop == 0 ? opts.window : opts.hop));
-  }
-  if (cmd == "STREAM_FEED") {
-    std::string id;
-    std::string csv;
-    if (!(in >> id >> csv)) {
-      return respond(
-          Err("BAD_REQUEST", "usage: STREAM_FEED <id> <v1,v2,...>"));
-    }
-    ts::Series values;
-    if (!ParseValues(csv, &values)) {
-      return respond(Err("BAD_REQUEST", "malformed values '" + csv + "'"));
-    }
-    const auto result =
-        FeedStream(id, ts::SeriesView(values.data(), values.size()));
-    if (result.status == stream::StreamSessionManager::FeedStatus::kNotFound) {
-      return respond(Err("NOT_FOUND", "no stream named '" + id + "'"));
-    }
-    if (result.status == stream::StreamSessionManager::FeedStatus::kShutdown) {
-      return respond(Err("SHUTDOWN", ""));
-    }
-    std::string out = "OK fed " + std::to_string(result.accepted) +
-                      " decisions=" + std::to_string(result.decisions.size());
-    char item[96];
-    for (const auto& d : result.decisions) {
-      std::snprintf(item, sizeof(item), " %llu:%d:%.3f",
-                    static_cast<unsigned long long>(d.window_index), d.label,
-                    d.margin);
-      out += item;
-      if (d.early) out += ":early";
-    }
-    return respond(std::move(out));
-  }
-  if (cmd == "STREAM_CLOSE") {
-    std::string id;
-    if (!(in >> id)) {
-      return respond(Err("BAD_REQUEST", "usage: STREAM_CLOSE <id>"));
-    }
-    const auto result = CloseStream(id);
-    if (!result.found) {
-      return respond(Err("NOT_FOUND", "no stream named '" + id + "'"));
-    }
-    const stream::StreamSummary& s = result.summary;
-    return respond("OK closed " + id + " samples=" +
-                   std::to_string(s.samples) +
-                   " windows=" + std::to_string(s.windows_scored) +
-                   " decisions=" + std::to_string(s.decisions) +
-                   " early=" + std::to_string(s.early_decisions));
-  }
-  if (cmd == "STREAMS") {
-    const std::vector<std::string> ids = StreamIds();
-    std::string out = "OK " + std::to_string(ids.size());
-    for (const auto& id : ids) out += ' ' + id;
-    return respond(std::move(out));
-  }
-  respond(Err("BAD_REQUEST", "unknown command '" + cmd + "'"));
+std::string InferenceServer::HandleLine(const std::string& line) {
+  net::Frame request;
+  std::string error;
+  if (!TextToFrame(line, &request, &error)) return error;
+  auto promise = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> future = promise->get_future();
+  Execute(0, request, [&request, promise](net::Frame reply) {
+    promise->set_value(FrameToText(request, reply));
+  });
+  return future.get();
 }
 
 }  // namespace rpm::serve

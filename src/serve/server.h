@@ -1,50 +1,23 @@
 // The inference server: registry + batching queue + stats behind one
-// facade, with both an in-process C++ API (tests, benches, embedding)
-// and a line-oriented text protocol (the socket front end in
-// examples/rpm_serve.cc). One request line maps to one response line:
+// facade, with an in-process C++ API (tests, benches, embedding) and the
+// protocol semantics layer both wire codecs share.
 //
-//   LOAD <name> <path>                  -> OK loaded <name> patterns=<K>
-//   UNLOAD <name>                       -> OK unloaded <name>
-//   MODELS                              -> OK <n> <name...>
-//   CLASSIFY <name> <v1,v2,...> [T_MS]  -> OK <label>
-//   STATS                               -> OK <one-line JSON>
-//   METRICS                             -> OK metrics\n<Prometheus text>
-//                                          ...terminated by a "# EOF" line
-//   TRACE [n]                           -> OK <spans JSON array>
-//   QUIT                                -> OK bye
+// One semantics layer, two codecs. Execute() takes a request as a
+// net::Frame — the verb byte plus its payload in the binary layout of
+// docs/SERVING.md — and owns every verb's meaning: argument checks,
+// model lookup, stream routing by id, defaults, and the mapping from
+// each failure to a status and its one detail string. The codecs only
+// translate: binary frames (net::FrameAssembler / net::EncodeFrame) are
+// executed as they are, text lines go through TextToFrame and come back
+// through FrameToText (text_codec.cc). serve::NetHandler forwards the
+// front end's lines and frames here; HandleLine() is the blocking
+// in-process text entry. The verbs, their payloads and replies in both
+// spellings, and the error codes are specified in docs/SERVING.md.
 //
-// METRICS is the one multi-line response in the protocol: the first
-// line is "OK metrics", then the Prometheus exposition of the server's
-// metric registry plus the process-default registry (matcher counters),
-// ending with "# EOF". STATS and METRICS are views of the same
-// obs::MetricRegistry, so their request counts agree once traffic has
-// drained. TRACE returns the most recent n (default 32, max 1024)
-// finished trace spans as one JSON line; tracing must be enabled on the
-// process tracer (rpm_serve --trace-sample) for spans to accumulate.
-//
-// Streaming verbs (src/stream) ride the same line protocol; session ids
-// name server-side per-stream state, so these lines ARE stateful across
-// a connection's lifetime (any connection may drive any session):
-//
-//   STREAM_OPEN <model> <window> [hop] [early_frac] [early_margin]
-//                                       -> OK stream <id> window=W hop=H
-//   STREAM_FEED <id> <v1,v2,...>        -> OK fed <n> decisions=<d>
-//                                            [<k>:<label>:<margin>[:early]...]
-//   STREAM_CLOSE <id>                   -> OK closed <id> samples=...
-//                                            windows=... decisions=... early=...
-//   STREAMS                             -> OK <n> <id...>
-//
-// STREAM_FEED may accept fewer samples than offered (backpressure: the
-// session ring is full); the producer re-offers the remainder.
-//
-// The same verbs are also reachable over the length-prefixed binary
-// framing (net/frame.h); serve/net_handler.h is the bridge that decodes
-// binary requests into the calls below and encodes the replies.
-//
-// Failures answer "ERR <CODE> <detail>", where CODE is one of TIMEOUT,
-// OVERLOADED, NOT_FOUND, SHUTDOWN, BAD_REQUEST. Apart from stream
-// sessions the protocol carries no connection state, so HandleLine is
-// safe to call from any number of connection threads concurrently.
+// Apart from stream sessions (ids naming server-side per-stream state
+// that any connection may drive) the protocol carries no connection
+// state, so Execute and HandleLine are safe to call from any number of
+// connection threads concurrently.
 //
 // Sharding: with ServerOptions::num_shards = S > 1 the server holds S
 // independent (BatchingQueue, StreamSessionManager) pairs. A shard is a
@@ -89,10 +62,6 @@ struct ServerOptions {
   std::size_t num_shards = 1;
 };
 
-/// The line reassembler moved to src/net with the rest of the wire
-/// framing; the alias keeps the historical serve:: name working.
-using LineAssembler = net::LineAssembler;
-
 class InferenceServer {
  public:
   explicit InferenceServer(ServerOptions options = {});
@@ -132,9 +101,6 @@ class InferenceServer {
 
   StatsSnapshot Stats() const { return stats_.Snapshot(); }
   ModelRegistry& registry() { return registry_; }
-  std::chrono::milliseconds default_timeout() const {
-    return options_.default_timeout;
-  }
 
   /// Prometheus text exposition of this server's metric registry plus
   /// the process-default registry (the METRICS response body). Ends
@@ -173,21 +139,23 @@ class InferenceServer {
   /// once (STATS: opened == closed + evicted). Idempotent.
   void Shutdown();
 
-  // ---- Text protocol ----
+  // ---- Protocol semantics ----
 
-  /// Handles one protocol line (no trailing newline) and returns the
-  /// response line. Thread-safe; CLASSIFY blocks the calling connection
-  /// thread until its batch completes, which is what lets concurrent
-  /// connections form batches.
-  std::string HandleLine(const std::string& line);
+  /// The answer to one request: its verb byte echoed, a net::WireStatus,
+  /// and the verb's reply payload — or, on failure, the detail string.
+  using Reply = std::function<void(net::Frame)>;
 
-  /// Non-blocking form for the event-driven front end: `respond` is
-  /// called exactly once with the response line — inline for every verb
-  /// except CLASSIFY, which answers from shard `shard`'s dispatcher
-  /// thread when its micro-batch completes. Stream verbs run on the
+  /// Executes one decoded request for either codec. `reply` runs
+  /// exactly once: inline for every verb except CLASSIFY, which answers
+  /// from shard `shard`'s dispatcher thread when its micro-batch
+  /// completes (and must therefore not block). Stream verbs run on the
   /// calling thread against the session's home shard.
-  void HandleLineAsync(const std::string& line, std::size_t shard,
-                       std::function<void(std::string)> respond);
+  void Execute(std::size_t shard, const net::Frame& request, Reply reply);
+
+  /// Handles one text protocol line (no trailing newline) and returns
+  /// the reply line: TextToFrame -> Execute on shard 0 -> FrameToText.
+  /// CLASSIFY blocks the calling thread until its batch completes.
+  std::string HandleLine(const std::string& line);
 
  private:
   struct Shard;
@@ -197,6 +165,19 @@ class InferenceServer {
   ServerStats stats_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+// ---- The text codec (text_codec.cc) ----
+
+/// Decodes one text request line (no trailing newline) into the request
+/// frame of the same verb. Returns false for a line the text protocol
+/// rejects — empty, unknown verb, missing or malformed arguments — with
+/// the whole reply line ("ERR BAD_REQUEST <detail>") in `*error`.
+bool TextToFrame(const std::string& line, net::Frame* request,
+                 std::string* error);
+
+/// Renders `reply`, the answer to `request`, as the text reply line
+/// ("OK ..." or "ERR <CODE>[ <detail>]"; METRICS spans several lines).
+std::string FrameToText(const net::Frame& request, const net::Frame& reply);
 
 }  // namespace rpm::serve
 

@@ -55,18 +55,21 @@ StreamSessionManager::OpenResult StreamSessionManager::Open(
   {
     std::unique_lock lock(map_mu_);
     if (shutdown_) {
+      result.status = OpenStatus::kShutdown;
       result.error = "shutting down";
       return result;
     }
     if (sessions_.size() >= options_.max_sessions) {
+      result.status = OpenStatus::kOverloaded;
       result.error = "too many open streams";
       return result;
     }
-    result.id = "s" + std::to_string(next_id_);
+    result.id = std::to_string(next_id_);
+    result.id.insert(result.id.begin(), 's');
     next_id_ += options_.id_stride;
     sessions_.emplace(result.id, std::move(session));
   }
-  result.ok = true;
+  result.status = OpenStatus::kOk;
   if (sink_ != nullptr) sink_->OnOpen();
   return result;
 }

@@ -100,10 +100,13 @@ class StreamSessionManager {
   StreamSessionManager(const StreamSessionManager&) = delete;
   StreamSessionManager& operator=(const StreamSessionManager&) = delete;
 
+  /// Why an open failed; the protocol layer maps it to a wire status.
+  enum class OpenStatus { kOk, kInvalid, kNotFound, kOverloaded, kShutdown };
   struct OpenResult {
-    bool ok = false;
+    OpenStatus status = OpenStatus::kInvalid;
     std::string id;     ///< "s<N>" on success
-    std::string error;  ///< why not, on failure
+    std::string error;  ///< human-readable reason, on failure
+    bool ok() const { return status == OpenStatus::kOk; }
   };
   /// Validates `options`, pins `model`, and registers a new session.
   OpenResult Open(StreamModel model, StreamOptions options);

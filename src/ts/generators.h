@@ -131,7 +131,7 @@ struct SuiteOptions {
   std::uint64_t seed = 20160315;  // EDBT'16 opening day.
 };
 
-/// The ten-dataset evaluation suite used by the Table 1/2 benchmarks.
+/// The 14-dataset evaluation suite used by the Table 1/2 benchmarks.
 std::vector<DatasetSplit> BenchmarkSuite(const SuiteOptions& options = {});
 
 /// The rotation-sensitive subset used by the Table 4 benchmark

@@ -403,7 +403,7 @@ TEST(ShardedServer, SessionIdsUniqueAndEncodeHomeShard) {
   for (std::size_t shard = 0; shard < 4; ++shard) {
     for (int k = 0; k < 3; ++k) {
       const auto open = server.OpenStream("cbf", opts, shard);
-      ASSERT_TRUE(open.ok) << open.error;
+      ASSERT_TRUE(open.ok()) << open.error;
       EXPECT_TRUE(ids.insert(open.id).second)
           << "duplicate id " << open.id << " across shards";
       EXPECT_EQ(server.ShardOfStreamId(open.id), shard)
@@ -435,7 +435,7 @@ TEST(ShardedServer, FeedsRouteByIdWithBitIdenticalDecisions) {
 
   for (std::size_t shard = 0; shard < 4; ++shard) {
     const auto open = server.OpenStream("cbf", opts, shard);
-    ASSERT_TRUE(open.ok) << open.error;
+    ASSERT_TRUE(open.ok()) << open.error;
     const auto result = server.FeedStream(
         open.id, ts::SeriesView(feed.data(), feed.size()));
     ASSERT_EQ(result.status,
@@ -462,8 +462,8 @@ TEST(ShardedServer, ReapingIsShardLocalAndPinnedSessionsSurviveReload) {
   opts.hop = 64;
   const auto keeper = server.OpenStream("cbf", opts, 0);
   const auto victim = server.OpenStream("cbf", opts, 1);
-  ASSERT_TRUE(keeper.ok);
-  ASSERT_TRUE(victim.ok);
+  ASSERT_TRUE(keeper.ok());
+  ASSERT_TRUE(victim.ok());
 
   // Hot-reload the model: the open sessions pinned the old version.
   server.AddModel("cbf", TrainedCopy());
@@ -499,7 +499,7 @@ TEST(ShardedServer, ShutdownClosesEverySessionExactlyOnce) {
   for (std::size_t shard = 0; shard < 4; ++shard) {
     for (int k = 0; k < 2; ++k) {
       const auto open = server.OpenStream("cbf", opts, shard);
-      ASSERT_TRUE(open.ok);
+      ASSERT_TRUE(open.ok());
       ids.push_back(open.id);
     }
   }

@@ -377,7 +377,7 @@ TEST(SessionManager, OpenFeedCloseLifecycle) {
   options.window = 64;
   options.hop = 64;
   const auto open = manager.Open(PinnedFixtureModel(), options);
-  ASSERT_TRUE(open.ok) << open.error;
+  ASSERT_TRUE(open.ok()) << open.error;
   EXPECT_EQ(open.id, "s1");
   EXPECT_EQ(manager.size(), 1u);
 
@@ -402,11 +402,11 @@ TEST(SessionManager, UnknownIdAndBadOptionsFail) {
   EXPECT_EQ(manager.Feed("s404", ts::SeriesView(&v, 1)).status,
             stream::StreamSessionManager::FeedStatus::kNotFound);
   stream::StreamOptions bad;  // window == 0
-  EXPECT_FALSE(manager.Open(PinnedFixtureModel(), bad).ok);
+  EXPECT_FALSE(manager.Open(PinnedFixtureModel(), bad).ok());
   stream::StreamModel no_engine;
   stream::StreamOptions ok;
   ok.window = 8;
-  EXPECT_FALSE(manager.Open(std::move(no_engine), ok).ok);
+  EXPECT_FALSE(manager.Open(std::move(no_engine), ok).ok());
 }
 
 TEST(SessionManager, MaxSessionsCapAndIds) {
@@ -415,10 +415,12 @@ TEST(SessionManager, MaxSessionsCapAndIds) {
   stream::StreamSessionManager manager(manager_options);
   stream::StreamOptions options;
   options.window = 16;
-  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok);
-  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok);
+  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok());
+  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok());
   const auto third = manager.Open(PinnedFixtureModel(), options);
-  EXPECT_FALSE(third.ok);
+  EXPECT_FALSE(third.ok());
+  EXPECT_EQ(third.status,
+            stream::StreamSessionManager::OpenStatus::kOverloaded);
   EXPECT_EQ(third.error, "too many open streams");
   EXPECT_EQ(manager.Ids(), (std::vector<std::string>{"s1", "s2"}));
 }
@@ -429,8 +431,8 @@ TEST(SessionManager, EvictIdleRemovesOnlyStaleSessions) {
   options.window = 16;
   const auto stale = manager.Open(PinnedFixtureModel(), options);
   const auto fresh = manager.Open(PinnedFixtureModel(), options);
-  ASSERT_TRUE(stale.ok);
-  ASSERT_TRUE(fresh.ok);
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(fresh.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const std::vector<double> feed = MakeFeed(1, 1);
   manager.Feed(fresh.id, ts::SeriesView(feed.data(), 8));  // touch
@@ -442,10 +444,10 @@ TEST(SessionManager, ShutdownClosesEverythingAndRejectsNew) {
   stream::StreamSessionManager manager(NoReaper());
   stream::StreamOptions options;
   options.window = 16;
-  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok);
+  ASSERT_TRUE(manager.Open(PinnedFixtureModel(), options).ok());
   manager.Shutdown();
   EXPECT_EQ(manager.size(), 0u);
-  EXPECT_FALSE(manager.Open(PinnedFixtureModel(), options).ok);
+  EXPECT_FALSE(manager.Open(PinnedFixtureModel(), options).ok());
   const double v = 1.0;
   EXPECT_EQ(manager.Feed("s1", ts::SeriesView(&v, 1)).status,
             stream::StreamSessionManager::FeedStatus::kShutdown);
@@ -465,7 +467,8 @@ TEST(StreamProtocol, OpenFeedCloseRoundTrip) {
   const std::vector<double> feed = MakeFeed(1, 3333);
   std::string csv;
   for (std::size_t i = 0; i < 128; ++i) {
-    csv += (i == 0 ? "" : ",") + std::to_string(feed[i]);
+    if (i > 0) csv += ',';
+    csv += std::to_string(feed[i]);
   }
   const std::string fed = server.HandleLine("STREAM_FEED " + id + " " + csv);
   EXPECT_EQ(fed.rfind("OK fed 128 decisions=2", 0), 0u) << fed;
@@ -516,7 +519,8 @@ TEST(StreamProtocol, SessionPinsModelAcrossHotReload) {
   const std::vector<double> feed = MakeFeed(1, 77);
   std::string csv;
   for (std::size_t i = 0; i < 64; ++i) {
-    csv += (i == 0 ? "" : ",") + std::to_string(feed[i]);
+    if (i > 0) csv += ',';
+    csv += std::to_string(feed[i]);
   }
   const std::string fed = server.HandleLine("STREAM_FEED " + id + " " + csv);
   EXPECT_EQ(fed.rfind("OK fed 64 decisions=1", 0), 0u) << fed;
@@ -535,7 +539,7 @@ TEST(StreamConcurrency, EightSessionsFeedInParallelWithReloadAndEviction) {
     options.window = 64;
     options.hop = 16;
     const auto open = server.OpenStream("cbf", options);
-    ASSERT_TRUE(open.ok) << open.error;
+    ASSERT_TRUE(open.ok()) << open.error;
     ids.push_back(open.id);
   }
 
@@ -601,7 +605,7 @@ TEST(StreamConcurrency, ShutdownRacesActiveFeeds) {
   stream::StreamOptions options;
   options.window = 32;
   const auto open = server.OpenStream("cbf", options);
-  ASSERT_TRUE(open.ok);
+  ASSERT_TRUE(open.ok());
 
   const std::vector<double> feed = MakeFeed(6, 11);
   std::thread feeder([&] {
